@@ -249,3 +249,30 @@ func BenchmarkExperimentSuite(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNativeSmart1M: native smart sort of 1M uniform 31-bit u32
+// keys on one reused engine at P = 1, 2 and 4 — the in-place radix
+// path at P=1, the field-routed remaps and merge kernel beyond it.
+// Wall-clock numbers; they mean something only with at least P cores.
+func BenchmarkNativeSmart1M(b *testing.B) {
+	base := workload.Keys(workload.Uniform31, 1<<20, 1996)
+	keys := make([]uint32, len(base))
+	for _, p := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
+			e, err := parbitonic.NewEngine(parbitonic.Config{Processors: p, Backend: parbitonic.Native})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer e.Close()
+			b.SetBytes(int64(len(base) * 4))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(keys, base)
+				if _, err := e.Sort(keys); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package addr
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -40,20 +41,21 @@ type RemapPlan struct {
 	nlFromM   []bitMove // new local bits sourced from the message offset
 	nlFromP   []bitMove // new local bits sourced from the sender's proc number
 
-	// Lazily built lookup tables: the l-dependent parts of Dest and
-	// PackOffset, and the m-dependent part of UnpackLocal, are
-	// processor-independent, so one table per plan serves every
+	// fieldLo is the low end of the destination field (see DestField),
+	// or -1 when the destination bits are not one contiguous field.
+	fieldLo int
+
+	// Lazily built unpack table: the m-dependent part of UnpackLocal
+	// is processor-independent, so one table per plan serves every
 	// processor. Built on first use; safe for concurrent readers.
 	lutOnce sync.Once
-	destLut []int32 // [n] destination bits contributed by l
-	offLut  []int32 // [n] pack offset of l
 	nlLut   []int32 // [MsgLen] new-local bits contributed by m
 	hasLuts bool
 
 	// Lazily built inverse (gather) tables for the shared-memory
 	// zero-copy remap: for each NEW local address they name the source
-	// the element comes from. Processor-independent like the forward
-	// LUTs; see GatherLuts.
+	// the element comes from. Processor-independent like the unpack
+	// table; see GatherLuts.
 	gatherOnce sync.Once
 	groupLut   []int32 // [n] sender-group index of new local address i
 	srcLut     []int32 // [n] old-local bits of i contributed by the message offset
@@ -66,15 +68,8 @@ const lutMaxEntries = 1 << 22
 
 func (p *RemapPlan) luts() bool {
 	p.lutOnce.Do(func() {
-		n := p.Old.LocalN()
-		if n > lutMaxEntries {
+		if p.Old.LocalN() > lutMaxEntries {
 			return
-		}
-		p.destLut = make([]int32, n)
-		p.offLut = make([]int32, n)
-		for l := 0; l < n; l++ {
-			p.destLut[l] = int32(gather(l, p.destFromL))
-			p.offLut[l] = int32(gather(l, p.offFromL))
 		}
 		p.nlLut = make([]int32, p.MsgLen)
 		for m := 0; m < p.MsgLen; m++ {
@@ -85,21 +80,77 @@ func (p *RemapPlan) luts() bool {
 	return p.hasLuts
 }
 
+// DestField reports whether the plan's pack mask is a bit field of the
+// sender's local address: the destination bits are the contiguous
+// field [lo, lo+Changed) of l, in group order, and the message offset
+// is the remaining bits of l in order. Then local address l goes to
+// group member g = (l>>lo) & (GroupSize()-1) — the g-th entry of
+// Dests — at offset FieldOffset(l, lo, Changed), so routing is a few
+// shifts and masks and needs no table. Every remap of the usual-regime
+// smart schedule, and the blocked<->cyclic remaps, has such a field.
+// A plan with no destination bits (Changed == 0) reports lo = lg n:
+// every key stays with group member 0 at its own address.
+func (p *RemapPlan) DestField() (lo int, ok bool) {
+	return p.fieldLo, p.fieldLo >= 0
+}
+
+// FieldOffset is the message offset of local address l under a
+// destination field [lo, lo+c): l with the field's bits squeezed out.
+func FieldOffset(l, lo, c int) int {
+	return l>>uint(lo+c)<<uint(lo) | l&(1<<uint(lo)-1)
+}
+
+// destField computes fieldLo from the plan's bit routing (-1 when the
+// destination bits are not a contiguous in-order field).
+func (p *RemapPlan) destField() int {
+	lo := p.Old.LgLocal()
+	if len(p.destFromL) > 0 {
+		lo = p.destFromL[0].from
+	}
+	for i, mv := range p.destFromL {
+		if mv.from != lo+i {
+			return -1
+		}
+	}
+	c := len(p.destFromL)
+	for j, mv := range p.offFromL {
+		want := j
+		if j >= lo {
+			want = j + c
+		}
+		if mv.from != want || mv.to != j {
+			return -1
+		}
+	}
+	return lo
+}
+
 // Route fills dest[l] and off[l] for every local address of processor
-// proc in one pass — the hot path used by the machine's remap exchange.
+// proc in one pass. Plans with a destination field (DestField) compute
+// both with shifts and masks; others gather bit by bit.
 func (p *RemapPlan) Route(proc int, dest, off []int32) {
 	n := p.Old.LocalN()
 	if len(dest) != n || len(off) != n {
 		panic("addr: Route buffer length mismatch")
 	}
-	fixed := int32(gather(proc, p.destFromP))
-	if p.luts() {
-		for l := 0; l < n; l++ {
-			dest[l] = fixed | p.destLut[l]
-			off[l] = p.offLut[l]
+	if lo, ok := p.DestField(); ok {
+		// Segments of 2^lo addresses cycle through the group members;
+		// each full cycle advances the message offset by a segment.
+		var grp [64]int
+		groups := p.AppendDests(grp[:0], proc)
+		seg := 1 << uint(lo)
+		for l, base := 0, 0; l < n; base += seg {
+			for _, q := range groups {
+				d, o := dest[l:l+seg], off[l:l+seg]
+				for i := range d {
+					d[i], o[i] = int32(q), int32(base+i)
+				}
+				l += seg
+			}
 		}
 		return
 	}
+	fixed := int32(gather(proc, p.destFromP))
 	for l := 0; l < n; l++ {
 		dest[l] = fixed | int32(gather(l, p.destFromL))
 		off[l] = int32(gather(l, p.offFromL))
@@ -247,6 +298,7 @@ func NewRemapPlan(old, new *Layout) *RemapPlan {
 	if p.MsgLen != old.LocalN()>>uint(p.Changed) {
 		panic("addr: remap plan internal inconsistency")
 	}
+	p.fieldLo = p.destField()
 	return p
 }
 
@@ -367,4 +419,34 @@ func Apply(old, new *Layout, data [][]uint32) [][]uint32 {
 		}
 	}
 	return out
+}
+
+// ScatterField copies src — positions [t0, t0+len(src)) of a sender's
+// local array — into the sender's message buffers by a destination
+// field [lo, lo+lg len(groups)) (see DestField): local address t goes
+// to groups[(t>>lo) & (len(groups)-1)] at FieldOffset(t). groups is
+// indexed by group member, in Dests order. Runs of 2^lo consecutive
+// addresses share a destination and land contiguously, so the pack is
+// a sequence of block copies (a deinterleave when lo = 0).
+func ScatterField[E any](groups [][]E, lo, t0 int, src []E) {
+	g := len(groups)
+	c := bits.Len(uint(g)) - 1
+	if lo == 0 {
+		q, off := t0&(g-1), t0>>uint(c)
+		for _, v := range src {
+			groups[q][off] = v
+			if q++; q == g {
+				q = 0
+				off++
+			}
+		}
+		return
+	}
+	seg := 1 << uint(lo)
+	for len(src) > 0 {
+		m := min(seg-t0&(seg-1), len(src))
+		off := FieldOffset(t0, lo, c)
+		copy(groups[t0>>uint(lo)&(g-1)][off:off+m], src[:m])
+		src, t0 = src[m:], t0+m
+	}
 }

@@ -176,6 +176,15 @@ func Compile[E element.Elem](p, n int, opts Options) (func(*spmd.ProcOf[E]), err
 		if p > 1 {
 			sched = schedule.New(intbits.Log2(n)+intbits.Log2(p), intbits.Log2(p), opts.Strategy)
 		}
+		if opts.Compute == FullSort {
+			// FullSort's merge routes by the destination field alone;
+			// every usual-regime plan has one (addr.TestDestFieldRoutesLikePlan).
+			for _, r := range sched {
+				if _, ok := r.Plan.DestField(); !ok {
+					return nil, fmt.Errorf("core: FullSort remap %d (%s) has no destination field", r.Index, r.Layout.Name)
+				}
+			}
+		}
 		return func(pr *spmd.ProcOf[E]) { smartSort(pr, sched, opts) }, nil
 	case CyclicBlocked:
 		var toCyclic, toBlocked *addr.RemapPlan

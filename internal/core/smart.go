@@ -57,31 +57,10 @@ func smartSort[E element.Elem](pr *spmd.ProcOf[E], sched []schedule.Remap, opts 
 }
 
 // fullScratch is a processor's persistent FullSort working state,
-// parked on pr.Scratch between runs: the run table, the round's
-// routing views, and the two emission closures. The closures are
-// built once — a fresh func literal per round would heap-allocate its
-// capture — and read the routing views through the struct, which the
-// loop repoints every round.
+// parked on pr.Scratch between runs: the run table and the merge tile.
 type fullScratch[E element.Elem] struct {
-	runs      []localsort.RunOf[E]
-	out       [][]E
-	dest, off []int32
-	n         int
-	emitAsc   func(int, E)
-	emitDesc  func(int, E)
-}
-
-func newFullScratch[E element.Elem](p int) *fullScratch[E] {
-	s := &fullScratch[E]{runs: make([]localsort.RunOf[E], 0, p)}
-	// Merge-with-pack emission: the element of ascending rank e sits at
-	// local index e (ascending region) or n-1-e (descending region),
-	// and goes to the next plan's destination slot for that index.
-	s.emitAsc = func(rank int, v E) { s.out[s.dest[rank]][s.off[rank]] = v }
-	s.emitDesc = func(rank int, v E) {
-		l := s.n - 1 - rank
-		s.out[s.dest[l]][s.off[l]] = v
-	}
-	return s
+	runs []localsort.RunOf[E]
+	tile []E
 }
 
 // dirAfterRemap gives the direction processor q's keys are sorted in
@@ -124,19 +103,22 @@ func recycleRuns[E element.Elem](pr *spmd.ProcOf[E], in [][]E) {
 //   - packing for the next remap is the merge's emission pass, so no
 //     separate pack or unpack pass exists (§4.3, Figure 4.8).
 func fullSortRun[E element.Elem](pr *spmd.ProcOf[E], sched []schedule.Remap, lgn, lgP int) {
-	// The first exchange packs the initial radix-sorted keys; afterwards
-	// every phase is ONE pass: a p-way merge of the received runs whose
-	// emission writes straight into the next remap's message buffers
-	// (merge = unpack + sort + pack in a single local computation step,
-	// the thesis's first Chapter 7 refinement). Only the final phase
-	// materializes a local array. Routing tables come from the
-	// processor's own pack scratch (safe here: prepacked exchanges never
-	// run the pack routing) and the run table, routing views and
-	// emission closures persist on the processor across rounds AND runs.
+	// The first exchange packs the initial radix-sorted keys;
+	// afterwards every phase is ONE pass: a p-way merge of the received
+	// runs whose emission writes straight into the next remap's message
+	// buffers (merge = unpack + sort + pack in a single local
+	// computation step, the thesis's first Chapter 7 refinement). Every
+	// plan has a destination field (Compile checked), so the merge
+	// routes by shifts and masks. Only the final phase materializes a
+	// local array. The run table and merge tile persist on the
+	// processor across rounds AND runs.
 	n := len(pr.Data)
 	s, _ := pr.Scratch.(*fullScratch[E])
 	if s == nil {
-		s = newFullScratch[E](pr.P())
+		s = &fullScratch[E]{
+			runs: make([]localsort.RunOf[E], 0, pr.P()),
+			tile: make([]E, localsort.MergeTileLen[E]()),
+		}
 		pr.Scratch = s
 	}
 	in := pr.RemapExchangeRuns(sched[0].Plan, true)
@@ -179,18 +161,13 @@ func fullSortRun[E element.Elem](pr *spmd.ProcOf[E], sched []schedule.Remap, lgn
 		}
 
 		next := sched[i+1].Plan
-		s.out = pr.PackBuffers(next)
-		s.dest, s.off = pr.RouteTables(n)
-		s.n = n
-		next.Route(pr.ID, s.dest, s.off)
-		if dirAfterRemap(sched, lgn, i, pr.ID) {
-			localsort.MergeRunsEmit(runs, total, s.emitAsc)
-		} else {
-			localsort.MergeRunsEmit(runs, total, s.emitDesc)
-		}
+		lo, _ := next.DestField()
+		out, groups := pr.PackBuffers(next)
+		desc := !dirAfterRemap(sched, lgn, i, pr.ID)
+		localsort.MergeRunsField(groups, lo, runs, desc, s.tile)
 		pr.ChargeMerge(total)
 		recycleRuns(pr, in)
-		in = pr.RemapExchangePrepacked(next, s.out)
+		in = pr.RemapExchangePrepacked(next, out)
 		pr.ClearPackBuffers()
 	}
 }

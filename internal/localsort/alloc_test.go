@@ -51,6 +51,27 @@ func runKernelAllocs[E element.Elem](t *testing.T) {
 		localsort.MergeTwo(dst, a, b, true)
 	})
 
+	// The merge kernel: two runs and a loser tree, into one array and
+	// by a field route through the caller's tile (lo = 0) or straight
+	// into the message buffers (lo = 8).
+	q := allocN / 4
+	two := []localsort.RunOf[E]{{Keys: a}, {Keys: b}}
+	four := []localsort.RunOf[E]{{Keys: a[:q]}, {Keys: a[q:]}, {Keys: b[:q]}, {Keys: b[q:]}}
+	groups := [][]E{dst[:allocN/2], dst[allocN/2:]}
+	tile := make([]E, localsort.MergeTileLen[E]())
+	assertZeroAllocs(t, "MergeRuns/2", func() {
+		localsort.MergeRuns(dst, two)
+	})
+	assertZeroAllocs(t, "MergeRuns/4", func() {
+		localsort.MergeRuns(dst, four)
+	})
+	assertZeroAllocs(t, "MergeRunsField/tile", func() {
+		localsort.MergeRunsField(groups, 0, four, true, tile)
+	})
+	assertZeroAllocs(t, "MergeRunsField/direct", func() {
+		localsort.MergeRunsField(groups, 8, two, false, nil)
+	})
+
 	// Hoisted: a func literal inside a measured closure of a generic
 	// function allocates its dictionary capture per run.
 	dir := func(b int) bool { return b%2 == 0 }

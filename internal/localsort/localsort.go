@@ -449,327 +449,6 @@ func Reverse[E element.Elem](keys []E) {
 	}
 }
 
-// MergeTwo merges the ascending-sorted slices a and b into dst (whose
-// length must be len(a)+len(b)) in the direction given by asc.
-func MergeTwo[E element.Elem](dst, a, b []E, asc bool) {
-	if len(dst) != len(a)+len(b) {
-		panic("localsort: MergeTwo length mismatch")
-	}
-	switch any(*new(E)).(type) {
-	case uint32:
-		ordMergeTwo(element.Cast[uint32](dst), element.Cast[uint32](a), element.Cast[uint32](b), asc)
-	case uint64:
-		ordMergeTwo(element.Cast[uint64](dst), element.Cast[uint64](a), element.Cast[uint64](b), asc)
-	case float32:
-		ordMergeTwo(element.Cast[float32](dst), element.Cast[float32](a), element.Cast[float32](b), asc)
-	case float64:
-		ordMergeTwo(element.Cast[float64](dst), element.Cast[float64](a), element.Cast[float64](b), asc)
-	default:
-		kvMergeTwo(element.Cast[element.KV64](dst), element.Cast[element.KV64](a), element.Cast[element.KV64](b), asc)
-	}
-}
-
-// The merge loops run the two-pointer body with the emission
-// direction hoisted out (the closure-per-element form defeated
-// inlining and re-tested the direction n times). Once either input is
-// exhausted the remainder is a bulk copy, which memmoves instead of
-// looping for the ascending tail.
-func ordMergeTwo[T element.Ord](dst, a, b []T, asc bool) {
-	i, j := 0, 0
-	if asc {
-		k := 0
-		for i < len(a) && j < len(b) {
-			if a[i] <= b[j] {
-				dst[k] = a[i]
-				i++
-			} else {
-				dst[k] = b[j]
-				j++
-			}
-			k++
-		}
-		k += copy(dst[k:], a[i:])
-		copy(dst[k:], b[j:])
-		return
-	}
-	for k := len(dst) - 1; k >= 0; k-- {
-		switch {
-		case i == len(a):
-			dst[k] = b[j]
-			j++
-		case j == len(b):
-			dst[k] = a[i]
-			i++
-		case a[i] <= b[j]:
-			dst[k] = a[i]
-			i++
-		default:
-			dst[k] = b[j]
-			j++
-		}
-	}
-}
-
-func kvMergeTwo(dst, a, b []element.KV64, asc bool) {
-	i, j := 0, 0
-	if asc {
-		k := 0
-		for i < len(a) && j < len(b) {
-			if a[i].K <= b[j].K {
-				dst[k] = a[i]
-				i++
-			} else {
-				dst[k] = b[j]
-				j++
-			}
-			k++
-		}
-		k += copy(dst[k:], a[i:])
-		copy(dst[k:], b[j:])
-		return
-	}
-	for k := len(dst) - 1; k >= 0; k-- {
-		switch {
-		case i == len(a):
-			dst[k] = b[j]
-			j++
-		case j == len(b):
-			dst[k] = a[i]
-			i++
-		case a[i].K <= b[j].K:
-			dst[k] = a[i]
-			i++
-		default:
-			dst[k] = b[j]
-			j++
-		}
-	}
-}
-
-// RunOf is one sorted input run for MergeRuns. Desc marks runs stored
-// in descending order (they are consumed from the tail), which is how
-// the long messages from the second half of a communication group
-// arrive in §4.3's unpack-fused merge.
-type RunOf[E element.Elem] struct {
-	Keys []E
-	Desc bool
-}
-
-// Run is a uint32 run, the element type of the paper's experiments.
-type Run = RunOf[uint32]
-
-func (r RunOf[E]) len() int { return len(r.Keys) }
-
-func (r RunOf[E]) at(i int) E {
-	if r.Desc {
-		return r.Keys[len(r.Keys)-1-i]
-	}
-	return r.Keys[i]
-}
-
-// MergeRuns merges the sorted runs into dst ascending using a
-// tournament (loser) tree: O(total · log p) comparisons for p runs.
-// This is the p-way merge the paper fuses with unpacking so the
-// separate unpack pass disappears (§4.3).
-func MergeRuns[E element.Elem](dst []E, runs []RunOf[E]) {
-	total := 0
-	for _, r := range runs {
-		total += r.len()
-	}
-	if len(dst) != total {
-		panic("localsort: MergeRuns length mismatch")
-	}
-	MergeRunsEmit(runs, total, func(rank int, v E) { dst[rank] = v })
-}
-
-// MergeRunsEmit is MergeRuns with a caller-supplied sink: emit is
-// called once per element in ascending order with its rank. This lets
-// the packing for the next remap be the merge's own emission pass —
-// the thesis's "single local computation step" future work (Ch. 7).
-// total must equal the summed run lengths.
-func MergeRunsEmit[E element.Elem](runs []RunOf[E], total int, emit func(rank int, v E)) {
-	check := 0
-	for _, r := range runs {
-		check += r.len()
-	}
-	if check != total {
-		panic("localsort: MergeRunsEmit length mismatch")
-	}
-	switch len(runs) {
-	case 0:
-		return
-	case 1:
-		for i := 0; i < runs[0].len(); i++ {
-			emit(i, runs[0].at(i))
-		}
-		return
-	}
-	// The tournament compares key views cast from the element storage
-	// (free reinterprets), so every comparison is a native compare while
-	// emission hands back the original elements — records keep their
-	// payloads without any per-element conversion.
-	switch any(*new(E)).(type) {
-	case uint32:
-		mergeRunsEmitOrd[E, uint32](runs, total, emit)
-	case uint64:
-		mergeRunsEmitOrd[E, uint64](runs, total, emit)
-	case float32:
-		mergeRunsEmitOrd[E, float32](runs, total, emit)
-	case float64:
-		mergeRunsEmitOrd[E, float64](runs, total, emit)
-	default:
-		mergeRunsEmitKV(runs, total, emit)
-	}
-}
-
-// maxStackRuns bounds the tournament state kept in stack arrays: runs
-// of p-way merges with p beyond it (no algorithm in this module gets
-// there below P=16) fall back to heap tables.
-const maxStackRuns = 16
-
-// mergeRunsEmitOrd runs the tournament tree comparing []T views of the
-// runs' key storage. T is E's scalar view (identical width), so keyAt
-// indexes the same memory the emitted elements come from. All merge
-// state lives in stack arrays for p <= maxStackRuns, making the
-// steady-state merge allocation-free.
-func mergeRunsEmitOrd[E element.Elem, T element.Ord](runs []RunOf[E], total int, emit func(rank int, v E)) {
-	p := len(runs)
-	size := 1
-	for size < p {
-		size *= 2
-	}
-	var keysBuf [maxStackRuns][]T
-	var posBuf [maxStackRuns]int
-	var treeBuf [2*maxStackRuns - 1]int
-	var keys [][]T
-	var pos []int
-	var tree []int
-	if p <= maxStackRuns {
-		keys, pos, tree = keysBuf[:p], posBuf[:p], treeBuf[:2*size-1]
-	} else {
-		keys, pos, tree = make([][]T, p), make([]int, p), make([]int, 2*size-1)
-	}
-	for r := range runs {
-		keys[r] = element.Cast[T](runs[r].Keys)
-	}
-	head := func(r int) (T, bool) {
-		if r >= p || pos[r] >= len(keys[r]) {
-			var zero T
-			return zero, false
-		}
-		if runs[r].Desc {
-			return keys[r][len(keys[r])-1-pos[r]], true
-		}
-		return keys[r][pos[r]], true
-	}
-	// tree[i] holds the run index winning subtree i; leaves are
-	// tree[size-1+j] for run j. Winners propagate bottom-up.
-	for j := 0; j < size; j++ {
-		tree[size-1+j] = j
-	}
-	for node := size - 2; node >= 0; node-- {
-		l, r := tree[2*node+1], tree[2*node+2]
-		lv, lok := head(l)
-		rv, rok := head(r)
-		win := l
-		if !lok || (rok && rv < lv) {
-			win = r
-		}
-		tree[node] = win
-	}
-
-	for k := 0; k < total; k++ {
-		r := tree[0]
-		if _, ok := head(r); !ok {
-			panic("localsort: MergeRuns internal error (empty winner)")
-		}
-		emit(k, runs[r].at(pos[r]))
-		pos[r]++
-		// Replay the path from r's leaf to the root.
-		node := size - 1 + r
-		for node > 0 {
-			parent := (node - 1) / 2
-			l, rr := tree[2*parent+1], tree[2*parent+2]
-			lv, lok := head(l)
-			rv, rok := head(rr)
-			win := l
-			if !lok || (rok && rv < lv) {
-				win = rr
-			}
-			tree[parent] = win
-			node = parent
-		}
-	}
-}
-
-// mergeRunsEmitKV is the tournament over KV64 record runs, comparing
-// keys only.
-func mergeRunsEmitKV[E element.Elem](runs []RunOf[E], total int, emit func(rank int, v E)) {
-	p := len(runs)
-	size := 1
-	for size < p {
-		size *= 2
-	}
-	var keysBuf [maxStackRuns][]element.KV64
-	var posBuf [maxStackRuns]int
-	var treeBuf [2*maxStackRuns - 1]int
-	var keys [][]element.KV64
-	var pos []int
-	var tree []int
-	if p <= maxStackRuns {
-		keys, pos, tree = keysBuf[:p], posBuf[:p], treeBuf[:2*size-1]
-	} else {
-		keys, pos, tree = make([][]element.KV64, p), make([]int, p), make([]int, 2*size-1)
-	}
-	for r := range runs {
-		keys[r] = element.Cast[element.KV64](runs[r].Keys)
-	}
-	head := func(r int) (uint64, bool) {
-		if r >= p || pos[r] >= len(keys[r]) {
-			return 0, false
-		}
-		if runs[r].Desc {
-			return keys[r][len(keys[r])-1-pos[r]].K, true
-		}
-		return keys[r][pos[r]].K, true
-	}
-	for j := 0; j < size; j++ {
-		tree[size-1+j] = j
-	}
-	for node := size - 2; node >= 0; node-- {
-		l, r := tree[2*node+1], tree[2*node+2]
-		lv, lok := head(l)
-		rv, rok := head(r)
-		win := l
-		if !lok || (rok && rv < lv) {
-			win = r
-		}
-		tree[node] = win
-	}
-
-	for k := 0; k < total; k++ {
-		r := tree[0]
-		if _, ok := head(r); !ok {
-			panic("localsort: MergeRuns internal error (empty winner)")
-		}
-		emit(k, runs[r].at(pos[r]))
-		pos[r]++
-		node := size - 1 + r
-		for node > 0 {
-			parent := (node - 1) / 2
-			l, rr := tree[2*parent+1], tree[2*parent+2]
-			lv, lok := head(l)
-			rv, rok := head(rr)
-			win := l
-			if !lok || (rok && rv < lv) {
-				win = rr
-			}
-			tree[parent] = win
-			node = parent
-		}
-	}
-}
-
 // SortBitonicBlocks sorts each contiguous block of blockLen keys, every
 // block being a bitonic sequence, in the direction dir(block) returns.
 // scratch must be at least blockLen long (it is allocated when nil).

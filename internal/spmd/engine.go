@@ -121,10 +121,11 @@ type ProcOf[E element.Elem] struct {
 	// tables and closures here instead of rebuilding them every run.
 	Scratch any
 
-	e    *EngineOf[E]
-	outs [][]E // pack-destination scratch, reused across remap rounds
-	srcs [][]E // gather-source scratch, reused across direct remap rounds
-	in   [][]E // received-message table, rewritten by every Exchange
+	e      *EngineOf[E]
+	outs   [][]E // pack-destination scratch by processor, reused across remap rounds
+	groups [][]E // the same buffers by group member (addr.ScatterField order)
+	srcs   [][]E // gather-source scratch, reused across direct remap rounds
+	in     [][]E // received-message table, rewritten by every Exchange
 
 	// free recycles long-message buffers between remap rounds,
 	// bucketed by power-of-two capacity class (bucket i holds buffers
@@ -543,7 +544,6 @@ func (p *ProcOf[E]) outScratch() [][]E {
 }
 
 func (p *ProcOf[E]) clearOuts() {
-	for i := range p.outs {
-		p.outs[i] = nil
-	}
+	clear(p.outs)
+	clear(p.groups)
 }

@@ -77,18 +77,19 @@ func (p *ProcOf[E]) planDests(plan *addr.RemapPlan) []int {
 }
 
 // pack routes p.Data into pooled per-destination message buffers per
-// the plan. The returned slice is the per-processor out table; the
+// the plan: block copies by the plan's destination field when it has
+// one (every usual-regime smart remap does), a per-key bit gather
+// otherwise. The returned slice is the per-processor out table; the
 // caller must run it through Exchange before touching p.Data again and
 // clear it afterwards.
-func (p *ProcOf[E]) pack(plan *addr.RemapPlan, n int) [][]E {
-	out := p.outScratch()
-	for _, q := range p.planDests(plan) {
-		out[q] = p.GetBuf(plan.MsgLen)
+func (p *ProcOf[E]) pack(plan *addr.RemapPlan) [][]E {
+	out, groups := p.PackBuffers(plan)
+	if lo, ok := plan.DestField(); ok {
+		addr.ScatterField(groups, lo, 0, p.Data)
+		return out
 	}
-	dest, off := p.routeScratch(n)
-	plan.Route(p.ID, dest, off)
-	for l := 0; l < n; l++ {
-		out[dest[l]][off[l]] = p.Data[l]
+	for l, v := range p.Data {
+		out[plan.Dest(p.ID, l)][plan.PackOffset(l)] = v
 	}
 	return out
 }
@@ -114,7 +115,7 @@ func (p *ProcOf[E]) RemapExchange(plan *addr.RemapPlan, fused bool) {
 		panic(fmt.Sprintf("spmd: processor %d holds %d keys, plan wants %d", p.ID, len(p.Data), n))
 	}
 	p.tag(int(obs.PhasePack))
-	out := p.pack(plan, n)
+	out := p.pack(plan)
 	if e.long && !fused {
 		e.charge.Pack(&p.PC, n)
 	}
@@ -163,7 +164,7 @@ func (p *ProcOf[E]) RemapExchangeRuns(plan *addr.RemapPlan, fusedPack bool) [][]
 		panic(fmt.Sprintf("spmd: processor %d holds %d keys, plan wants %d", p.ID, len(p.Data), n))
 	}
 	p.tag(int(obs.PhasePack))
-	out := p.pack(plan, n)
+	out := p.pack(plan)
 	if e.long && !fusedPack {
 		e.charge.Pack(&p.PC, n)
 	}
@@ -198,17 +199,22 @@ func (p *ProcOf[E]) RemapExchangePrepacked(plan *addr.RemapPlan, out [][]E) [][]
 }
 
 // PackBuffers returns pooled plan.MsgLen buffers for every destination
-// of this processor under the plan, for use with
-// RemapExchangePrepacked. The caller owns nil-ing its table entries
-// after the exchange.
-func (p *ProcOf[E]) PackBuffers(plan *addr.RemapPlan) [][]E {
-	out := p.outScratch()
+// of this processor under the plan, twice: out indexed by processor
+// (what RemapExchangePrepacked takes) and groups indexed by group
+// member (what addr.ScatterField and localsort.MergeRunsField write).
+// Both tables are per-processor scratch; ClearPackBuffers nils them
+// once the exchange round has completed.
+func (p *ProcOf[E]) PackBuffers(plan *addr.RemapPlan) (out, groups [][]E) {
+	out = p.outScratch()
+	groups = p.groups[:0]
 	for _, q := range p.planDests(plan) {
 		out[q] = p.GetBuf(plan.MsgLen)
+		groups = append(groups, out[q])
 	}
-	return out
+	p.groups = groups
+	return out, groups
 }
 
-// ClearPackBuffers nils the per-processor destination table filled by
+// ClearPackBuffers nils the per-processor destination tables filled by
 // PackBuffers once the exchange round has completed.
 func (p *ProcOf[E]) ClearPackBuffers() { p.clearOuts() }

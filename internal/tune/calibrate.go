@@ -3,6 +3,7 @@ package tune
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"time"
@@ -306,15 +307,25 @@ func bestOf(ctx context.Context, eng *native.EngineOf[uint32], p, n int, alg cor
 }
 
 // fitComm solves the three-parameter non-negative least-squares
-// problem residual ≈ a·R + b·V + c·M over the observed runs: the
+// problem residual ≈ a·R + b·V + c·M over the observed runs. It is
+// rank-aware: a column that is (numerically) a linear combination of
+// the columns before it in R, V, M order cannot be told apart from
+// them, so it is fixed at zero and named in Unidentified instead of
+// making the system singular. The rest is a tiny active-set NNLS: the
 // unconstrained normal equations first, then columns whose coefficient
-// comes out negative are dropped (clamped to zero) and the rest
-// refit — a tiny active-set NNLS adequate for three variables.
+// comes out negative are dropped (clamped to zero) and the rest refit.
 func fitComm(runs []commRun) (CommCosts, error) {
 	if len(runs) < 3 {
 		return CommCosts{}, fmt.Errorf("tune: %d communication observations, need >= 3", len(runs))
 	}
-	active := []bool{true, true, true}
+	names := [3]string{"remap_ns", "word_ns", "msg_ns"}
+	active := identifiable(runs)
+	var unidentified []string
+	for i, a := range active {
+		if !a {
+			unidentified = append(unidentified, names[i])
+		}
+	}
 	for iter := 0; iter < 4; iter++ {
 		coef, ok := solveLSQ(runs, active)
 		if !ok {
@@ -328,10 +339,60 @@ func fitComm(runs []commRun) (CommCosts, error) {
 			}
 		}
 		if !clamped {
-			return CommCosts{RemapNS: coef[0], WordNS: coef[1], MsgNS: coef[2]}, nil
+			return CommCosts{RemapNS: coef[0], WordNS: coef[1], MsgNS: coef[2], Unidentified: unidentified}, nil
 		}
 	}
 	return CommCosts{}, fmt.Errorf("tune: communication fit did not converge")
+}
+
+// collinearTol is the relative residual below which a design column
+// counts as a combination of the columns before it.
+const collinearTol = 1e-9
+
+// identifiable runs Gram-Schmidt over the R, V, M design columns in
+// that order and reports which are linearly independent of the ones
+// before them (an all-zero column is not).
+func identifiable(runs []commRun) []bool {
+	cols := make([][]float64, 3)
+	for i := range cols {
+		cols[i] = make([]float64, len(runs))
+	}
+	for j, r := range runs {
+		cols[0][j], cols[1][j], cols[2][j] = r.r, r.v, r.m
+	}
+	active := make([]bool, 3)
+	var basis [][]float64 // orthonormal
+	for i, col := range cols {
+		norm := math.Sqrt(dot(col, col))
+		if norm == 0 {
+			continue
+		}
+		res := append([]float64(nil), col...)
+		for _, q := range basis {
+			d := dot(res, q)
+			for j := range res {
+				res[j] -= d * q[j]
+			}
+		}
+		rn := math.Sqrt(dot(res, res))
+		if rn <= collinearTol*norm {
+			continue
+		}
+		for j := range res {
+			res[j] /= rn
+		}
+		basis = append(basis, res)
+		active[i] = true
+	}
+	return active
+}
+
+func dot(a, b []float64) float64 {
+	s := 0.0
+	for i := range a {
+		s += a[i] * b[i]
+	}
+	return s
 }
 
 // solveLSQ solves the normal equations of the least-squares fit over

@@ -84,6 +84,13 @@ type CommCosts struct {
 	WordNS float64 `json:"word_ns"`
 	// MsgNS is the cost per message (the (g-G) analogue).
 	MsgNS float64 `json:"msg_ns"`
+	// Unidentified names the coefficients (by JSON name) the
+	// calibration runs could not separate from the others, because
+	// their column was a linear combination of earlier ones — at
+	// MaxP 2 every remap sends one message, so M = R and msg_ns is
+	// folded into remap_ns. Such coefficients are 0, and predictions
+	// for shapes that vary them independently are extrapolations.
+	Unidentified []string `json:"unidentified,omitempty"`
 }
 
 // Profile is a calibrated machine profile: everything the planner

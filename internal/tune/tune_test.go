@@ -377,6 +377,37 @@ func TestFitCommRecoversKnownModel(t *testing.T) {
 	}
 }
 
+// TestFitCommCollinearMessages feeds the fit what a MaxP 2 calibration
+// observes: one message per remap, so the M column equals R. The fit
+// must not fail as singular; it folds the per-message cost into the
+// per-remap one, fits V exactly, and records msg_ns as unidentified.
+func TestFitCommCollinearMessages(t *testing.T) {
+	model := CommCosts{RemapNS: 20000, WordNS: 2, MsgNS: 500}
+	var runs []commRun
+	for _, rv := range [][2]float64{{2, 2048}, {3, 8192}, {4, 1024}, {6, 65536}, {2, 512}} {
+		runs = append(runs, commRun{
+			r: rv[0], v: rv[1], m: rv[0],
+			residualNS: model.RemapNS*rv[0] + model.WordNS*rv[1] + model.MsgNS*rv[0],
+		})
+	}
+	got, err := fitComm(runs)
+	if err != nil {
+		t.Fatalf("fit on M = R data: %v", err)
+	}
+	if !close(got.RemapNS, model.RemapNS+model.MsgNS) || !close(got.WordNS, model.WordNS) || got.MsgNS != 0 {
+		t.Errorf("fit = %+v, want remap %v, word %v, msg 0", got, model.RemapNS+model.MsgNS, model.WordNS)
+	}
+	if len(got.Unidentified) != 1 || got.Unidentified[0] != "msg_ns" {
+		t.Errorf("unidentified = %v, want [msg_ns]", got.Unidentified)
+	}
+	full, err := fitComm([]commRun{
+		{r: 2, v: 2048, m: 2}, {r: 3, v: 8192, m: 6}, {r: 4, v: 1024, m: 12},
+	})
+	if err != nil || full.Unidentified != nil {
+		t.Errorf("independent columns: unidentified = %v, err = %v", full.Unidentified, err)
+	}
+}
+
 func mustRank(t *testing.T, pl *Planner, total int, typ element.Type) []Plan {
 	t.Helper()
 	r, err := pl.Rank(total, typ)
