@@ -251,6 +251,29 @@ func kernelSweep(quick bool, reps int) []Entry {
 			out = append(out, kernelGroupOf[element.KV64](size, reps)...)
 		}
 	}
+	return append(out, radixCurve(reps)...)
+}
+
+// radixCurve records the u32 radix sort at 32K..512K keys (config
+// "radix-curve"), the range where the flat 8-bit LSD hands over to the
+// MSD+LSD hybrid, so the crossover stays visible across snapshots.
+// Like every kernel entry it is recorded, never gated.
+func radixCurve(reps int) []Entry {
+	var out []Entry
+	for size := 1 << 15; size <= 1<<19; size <<= 1 {
+		keys := workload.Elems[uint32](workload.Uniform31, size, 1996)
+		work := make([]uint32, size)
+		scratch := make([]uint32, size)
+		mean, min := measureKernel(reps, func() {
+			copy(work, keys)
+			localsort.RadixSortScratch(work, scratch)
+		})
+		out = append(out, Entry{
+			Backend: "kernel", Config: "radix-curve",
+			Elem: element.TU32.String(), Size: size,
+			US: mean, MinUS: min,
+		})
+	}
 	return out
 }
 

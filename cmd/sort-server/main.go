@@ -7,7 +7,7 @@
 //
 //	sort-server [-addr :8357] [-p procs] [-alg name] [-backend name]
 //	            [-verify] [-max-batch N] [-max-batch-keys N]
-//	            [-max-delay dur] [-queue N] [-parallel N]
+//	            [-queue N] [-parallel N]
 //	            [-retries N] [-breaker] [-degraded]
 //	            [-slo-ms N] [-slo-target F] [-slog]
 //	            [-chaos-every N] [-chaos-seed S]
@@ -66,7 +66,6 @@ func main() {
 	verifyFlag := flag.Bool("verify", false, "verify every run's output (sortedness + checksum) before responding")
 	maxBatch := flag.Int("max-batch", 16, "most requests coalesced into one engine run (1 disables batching)")
 	maxBatchKeys := flag.Int("max-batch-keys", 1<<20, "summed key cap of a batch; longer requests run solo")
-	maxDelay := flag.Duration("max-delay", 200*time.Microsecond, "batching window: how long to hold a batch open for companions")
 	queue := flag.Int("queue", 256, "admission queue depth; a full queue rejects with 429")
 	parallel := flag.Int("parallel", 0, "concurrent engine runs (0 = GOMAXPROCS/p)")
 	retries := flag.Int("retries", 2, "retry budget per request for transient engine failures (0 disables)")
@@ -130,7 +129,6 @@ func main() {
 		Engine:         engine,
 		MaxBatch:       *maxBatch,
 		MaxBatchKeys:   *maxBatchKeys,
-		MaxDelay:       *maxDelay,
 		QueueDepth:     *queue,
 		Parallel:       *parallel,
 		Retries:        cfgRetries,
@@ -165,8 +163,8 @@ func main() {
 	if *sloMS > 0 {
 		sloNote = fmt.Sprintf("%gms@%g", *sloMS, *sloTarget)
 	}
-	fmt.Fprintf(os.Stderr, "sort-server: listening on %s (P=%d, %s, %s backend, batch<=%d/%v, queue %d, retries %d, breaker %v, degraded %v, slo %s)\n",
-		*addr, *p, *algName, *backendName, *maxBatch, *maxDelay, *queue, *retries, *breaker, *degraded, sloNote)
+	fmt.Fprintf(os.Stderr, "sort-server: listening on %s (P=%d, %s, %s backend, batch<=%d, queue %d, retries %d, breaker %v, degraded %v, slo %s)\n",
+		*addr, *p, *algName, *backendName, *maxBatch, *queue, *retries, *breaker, *degraded, sloNote)
 	if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -23,7 +23,11 @@ import (
 // paths draw per-tile scratch by design and are exercised for
 // correctness in TestKernelsParallelPoolMatchSequential.
 
-const allocN = 1 << 16 // past radixLargeMin, so the hybrid path runs
+const allocN = 1 << 16 // past radixLargeMin, so KV64 takes its 16-bit digits
+
+// hybridN is past both key-width hybrid thresholds (hybridMin32,
+// hybridMin64), so the key-only radix takes its MSD+LSD hybrid layout.
+const hybridN = 1 << 19
 
 func assertZeroAllocs(t *testing.T, name string, f func()) {
 	t.Helper()
@@ -39,6 +43,11 @@ func runKernelAllocs[E element.Elem](t *testing.T) {
 
 	assertZeroAllocs(t, "RadixSortScratch", func() {
 		localsort.RadixSortScratch(keys, scratch)
+	})
+	big := workload.Elems[E](workload.FullRange, hybridN, 43)
+	bigScratch := make([]E, hybridN)
+	assertZeroAllocs(t, "RadixSortScratch/hybrid", func() {
+		localsort.RadixSortScratch(big, bigScratch)
 	})
 	assertZeroAllocs(t, "SortScratch", func() {
 		localsort.SortScratch(keys, false, scratch)
@@ -132,7 +141,7 @@ func TestKernelsParallelPoolMatchSequential(t *testing.T) {
 	defer one.Close()
 	defer localsort.SetPool(nil)
 
-	n := 1 << 17
+	n := 1 << 18 // the u32 hybrid radix threshold, so its tiles run
 	in := workload.Elems[uint32](workload.FullRange, n, 7)
 	scratch := make([]uint32, n)
 

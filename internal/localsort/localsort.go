@@ -56,9 +56,9 @@ func kernelPool() *workpool.Pool {
 // array with no copy-back. Large key-only inputs switch to the hybrid
 // layout — one MSD partition by the top 11 bits (the paper's digit
 // width) into 2048 regions, each finished by an 11-bit LSD radix whose
-// working set is cache-resident (see radixUintHybrid). KV64 records
-// keep a flat LSD with 16-bit digits: fewer whole-record permute
-// passes beat partition locality at 16 bytes per element.
+// working set is cache-resident (see radixUintHybrid). Large KV64
+// record inputs keep a flat LSD with 16-bit digits: fewer whole-record
+// permute passes beat partition locality at 16 bytes per element.
 const (
 	radixSmallBits = 8
 	radixSmallSize = 1 << radixSmallBits
@@ -72,9 +72,23 @@ const (
 	hybridTopSize      = 1 << hybridTopBits
 	hybridMaxLowPasses = 5
 
-	// radixLargeMin is the element count from which the large layouts
-	// pay for their table zeroing and prefix sums.
+	// radixLargeMin is the record count from which radixKV's 16-bit
+	// digits pay for their table zeroing and prefix sums.
 	radixLargeMin = 1 << 16
+
+	// hybridMin32 and hybridMin64 are the key counts from which the
+	// hybrid beats the flat 8-bit LSD on one pool lane, for 32- and
+	// 64-bit keys. The hybrid clears its digit tables once per occupied
+	// region (3K entries for 32-bit keys, 10K for 64-bit), so with keys
+	// spread over all 2048 regions that fixed cost outweighs the flat
+	// layout's extra full-array sweeps on small inputs. Measured on a
+	// 2-vCPU Xeon VM with full-width random keys (EXPERIMENTS.md,
+	// kernel throughput): u32 crosses between 192K and 256K keys, u64
+	// between 512K and 1M. Narrow u64 keys occupy few regions and
+	// favour the hybrid from about 256K, so the u64 switch sits at
+	// 512K, where neither kind loses much.
+	hybridMin32 = 1 << 18
+	hybridMin64 = 1 << 19
 )
 
 // RadixPasses is the number of counting passes the §3.4/§4.4 cost
@@ -166,10 +180,15 @@ type uintKey interface {
 
 // radixUint sorts keys using scratch as the ping-pong buffer. Small
 // inputs run a flat LSD with 8-bit digits and stack tables; large
-// inputs take the cache-blocked MSD+LSD hybrid. Both are stable, so
-// the choice is invisible in the output.
+// inputs (hybridMin32/hybridMin64 keys and up) take the cache-blocked
+// MSD+LSD hybrid. Both are stable, so the choice is invisible in the
+// output.
 func radixUint[T uintKey](keys, scratch []T, keyBits int) {
-	if len(keys) >= radixLargeMin {
+	hybridMin := hybridMin32
+	if keyBits == 64 {
+		hybridMin = hybridMin64
+	}
+	if len(keys) >= hybridMin {
 		radixUintHybrid(keys, scratch, keyBits)
 		return
 	}

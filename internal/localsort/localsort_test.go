@@ -2,11 +2,13 @@ package localsort
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"parbitonic/internal/bitseq"
+	"parbitonic/internal/workload"
 )
 
 func randomKeys(rng *rand.Rand, n int) []uint32 {
@@ -33,6 +35,33 @@ func TestRadixSortMatchesStdlib(t *testing.T) {
 			if keys[i] != want[i] {
 				t.Fatalf("n=%d: mismatch at %d", n, i)
 			}
+		}
+	}
+}
+
+// TestRadixSortLayoutBoundaries sorts key-only inputs on both sides of
+// the flat/hybrid switch of each key width, against slices.Sort.
+func TestRadixSortLayoutBoundaries(t *testing.T) {
+	for _, n := range []int{hybridMin32 - 1, hybridMin32} {
+		keys := workload.Elems[uint32](workload.FullRange, n, uint64(n))
+		want := slices.Clone(keys)
+		slices.Sort(want)
+		RadixSort(keys)
+		if !slices.Equal(keys, want) {
+			t.Errorf("u32 n=%d: result differs from slices.Sort", n)
+		}
+	}
+	rng := rand.New(rand.NewSource(4))
+	for _, n := range []int{hybridMin64 - 1, hybridMin64} {
+		keys := make([]uint64, n) // full 64-bit keys, spread over every region
+		for i := range keys {
+			keys[i] = rng.Uint64()
+		}
+		want := slices.Clone(keys)
+		slices.Sort(want)
+		RadixSort(keys)
+		if !slices.Equal(keys, want) {
+			t.Errorf("u64 n=%d: result differs from slices.Sort", n)
 		}
 	}
 }

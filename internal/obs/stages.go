@@ -17,8 +17,8 @@ type Stage uint8
 const (
 	// StageQueue is admission-queue wait: enqueue to dispatcher pull.
 	StageQueue Stage = iota
-	// StageBatch is coalescing and executor wait: dispatcher pull to
-	// engine-run start (the batching window plus any wait for a free
+	// StageBatch is executor wait and packing: dispatcher pull to
+	// engine-run start (time in the held batch waiting for a free
 	// executor, plus input packing).
 	StageBatch
 	// StageEngine is time inside engine runs, summed across retry

@@ -145,6 +145,7 @@ func (s *ServerOf[E]) runPooled(ctx context.Context, ecfg parbitonic.Config, pad
 		err = run(eng)
 		elapsed := time.Since(t0)
 		note(obs.StageEngine, elapsed)
+		s.m.observeEngineRun(elapsed)
 		healthy := resilience.EngineHealthy(err)
 		s.pool.Put(eng, padded, healthy)
 		if !healthy {

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-	"time"
 
 	"parbitonic"
 )
@@ -22,15 +21,15 @@ func benchKeys(n, size int) [][]uint32 {
 }
 
 // BenchmarkServeBatched is the throughput story of the serve layer:
-// 1k-key requests through the batching server (pooled engines, one
-// padded run per window) — compare with
+// 1k-key requests from 128 concurrent clients through the batching
+// server (pooled engines; requests that queue behind busy executors
+// share one padded run) — compare with
 // BenchmarkServePerRequestEngine below, which builds an engine per
 // request the way naive service code would.
 func BenchmarkServeBatched(b *testing.B) {
 	s, err := New(Config{
 		Engine:   parbitonic.Config{Processors: 4, Backend: parbitonic.Native},
 		MaxBatch: 32,
-		MaxDelay: 200 * time.Microsecond,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -5,20 +5,19 @@ import (
 	"fmt"
 	"log"
 	"sync"
-	"time"
 
 	"parbitonic"
 	"parbitonic/internal/serve"
 )
 
 // ExampleServer_batchedSort shows the service front door: concurrent
-// small Sort calls are transparently coalesced into one padded engine
+// small Sort calls run on idle executors at once, or — when they queue
+// behind busy ones — are transparently coalesced into one padded engine
 // run, and each caller gets back exactly its own sorted keys.
 func ExampleServer_batchedSort() {
 	srv, err := serve.New(serve.Config{
 		Engine:   parbitonic.Config{Processors: 4, Backend: parbitonic.Native},
 		MaxBatch: 8,
-		MaxDelay: 10 * time.Millisecond, // hold the window open for companions
 	})
 	if err != nil {
 		log.Fatal(err)

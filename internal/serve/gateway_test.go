@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"parbitonic"
 	"parbitonic/element"
@@ -19,8 +18,7 @@ import (
 func newTestGateway(t *testing.T) (*Gateway, *httptest.Server) {
 	t.Helper()
 	g, err := NewGateway(Config{
-		Engine:   parbitonic.Config{Processors: 4, Backend: parbitonic.Native},
-		MaxDelay: time.Millisecond,
+		Engine: parbitonic.Config{Processors: 4, Backend: parbitonic.Native},
 	})
 	if err != nil {
 		t.Fatal(err)

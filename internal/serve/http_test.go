@@ -20,8 +20,7 @@ import (
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	s, err := New(Config{
-		Engine:   parbitonic.Config{Processors: 4, Backend: parbitonic.Native},
-		MaxDelay: time.Millisecond,
+		Engine: parbitonic.Config{Processors: 4, Backend: parbitonic.Native},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -195,8 +194,7 @@ func TestHTTPOverloadIs429(t *testing.T) {
 func TestHTTPObsEndpoints(t *testing.T) {
 	rm := obs.NewMetrics()
 	s, err := New(Config{
-		Engine:   parbitonic.Config{Processors: 2, Backend: parbitonic.Native, Obs: rm},
-		MaxDelay: time.Millisecond,
+		Engine: parbitonic.Config{Processors: 2, Backend: parbitonic.Native, Obs: rm},
 	})
 	if err != nil {
 		t.Fatal(err)

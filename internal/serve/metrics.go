@@ -120,6 +120,8 @@ type Metrics struct {
 	batches  float64
 	batched  float64 // requests that shared a run with >= 1 companion
 	retries  float64 // engine runs retried after a transient failure
+	runs     int64   // engine-run attempts timed, for meanEngineRun
+	runTime  time.Duration
 	degraded float64 // requests served by the sequential fallback
 	latency  *hist   // seconds, admission to response
 	size     *hist   // requests per batch
@@ -208,6 +210,28 @@ func (m *Metrics) retry() {
 	m.mu.Lock()
 	m.retries++
 	m.mu.Unlock()
+}
+
+// observeEngineRun records the wall time of one engine-run attempt —
+// the same interval its members charge to the engine stage.
+func (m *Metrics) observeEngineRun(d time.Duration) {
+	m.mu.Lock()
+	m.runs++
+	m.runTime += d
+	m.mu.Unlock()
+}
+
+// meanEngineRun returns the mean engine-run attempt time so far, or 0
+// before the first run. It is taken per run, not from the request
+// stage histogram, because refused requests record a zero engine stage
+// and would drag the mean down exactly under overload.
+func (m *Metrics) meanEngineRun() time.Duration {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.runs == 0 {
+		return 0
+	}
+	return m.runTime / time.Duration(m.runs)
 }
 
 // degrade counts one request served by the sequential fallback.

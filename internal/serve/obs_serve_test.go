@@ -92,36 +92,34 @@ func TestRetriedRequestStages(t *testing.T) {
 // the single run that served them.
 func TestBatchTraceFlowLinkage(t *testing.T) {
 	ct := obs.NewChromeTrace()
-	s, err := New(Config{
+	s, g, wedged := newWedgedServer(t, Config{
 		Engine:   parbitonic.Config{Processors: 2, Backend: parbitonic.Native, Obs: ct},
 		MaxBatch: 4,
-		MaxDelay: 100 * time.Millisecond,
 	})
-	if err != nil {
+
+	// The executor is wedged, so the three requests queue behind it and
+	// coalesce into the held batch.
+	ids := []string{"flow-a", "flow-b", "flow-c"}
+	before, _ := s.Metrics().BatchCount()
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		wg.Add(1)
+		go func(i int, id string) {
+			defer wg.Done()
+			ctx := obs.WithRequestID(context.Background(), id)
+			if _, err := s.Sort(ctx, []uint32{uint32(3 + i), 1, 2}); err != nil {
+				t.Errorf("%s: %v", id, err)
+			}
+		}(i, id)
+	}
+	waitHeld(t, s, len(ids), 0)
+	g.release()
+	wg.Wait()
+	if err := <-wedged; err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-
-	ids := []string{"flow-a", "flow-b", "flow-c"}
-	coalesced := false
-	for attempt := 0; attempt < 5 && !coalesced; attempt++ {
-		ct.Reset()
-		before, _ := s.Metrics().BatchCount()
-		var wg sync.WaitGroup
-		for i, id := range ids {
-			wg.Add(1)
-			go func(i int, id string) {
-				defer wg.Done()
-				ctx := obs.WithRequestID(context.Background(), id)
-				if _, err := s.Sort(ctx, []uint32{uint32(3 + i), 1, 2}); err != nil {
-					t.Errorf("%s: %v", id, err)
-				}
-			}(i, id)
-		}
-		wg.Wait()
-		after, _ := s.Metrics().BatchCount()
-		coalesced = after == before+1 // all three shared one run
-	}
+	after, _ := s.Metrics().BatchCount()
+	coalesced := after == before+1 // all three shared one run
 	if t.Failed() {
 		return
 	}
@@ -551,8 +549,7 @@ func TestE2EStageSumAcceptance(t *testing.T) {
 	logBuf := &lockedBuffer{}
 	sink := obs.NewSlogSink(slog.New(slog.NewJSONHandler(logBuf, nil)))
 	s, err := New(Config{
-		Engine:   parbitonic.Config{Processors: 4, Backend: parbitonic.Native, Obs: sink},
-		MaxDelay: time.Millisecond,
+		Engine: parbitonic.Config{Processors: 4, Backend: parbitonic.Native, Obs: sink},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -12,16 +12,19 @@
 //     keys-per-processor share) and recycles them across requests, so
 //     steady-state traffic pays construction ~never.
 //
-//   - Batching (ServerOf): requests arriving within a window
-//     (Config.MaxDelay, up to Config.MaxBatch) are coalesced into ONE
-//     padded sort. Each request's keys are tagged with a request index
+//   - Batching (ServerOf): dispatch is work-conserving — a request
+//     goes to an idle executor at once, and only requests that queue
+//     while every executor is busy are coalesced (up to
+//     Config.MaxBatch) into ONE padded sort, handed over the moment an
+//     executor frees up. Each request's keys are tagged with a request index
 //     in the high bits of the key, the concatenation is sorted once,
 //     and results are sliced back out per request (the sorted stream is
 //     grouped by tag) and copied out of the shared buffer. The LogGP
 //     rationale (§3.4): remap time is T = (L+2o−g)R + G·V + (g−G)M, so
 //     B requests sorted separately pay the per-remap latency term R
 //     B times over; one batched run pays it once while V grows only
-//     linearly — exactly the bulk-transfer regime LogGP rewards. See
+//     linearly — exactly the bulk-transfer regime LogGP rewards, and
+//     exactly when those runs would otherwise have queued. See
 //     DESIGN.md §10 for the tag-bit scheme and its correctness
 //     argument. Tagging requires integer key images — uint32, uint64
 //     and KV64 traffic batches; float requests always run solo (OR-ing
@@ -51,6 +54,7 @@ import (
 	"math/bits"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"parbitonic"
@@ -102,12 +106,6 @@ type Config struct {
 	// MaxBatchKeys caps the summed key count of a batch (pre-padding);
 	// a request longer than this always runs solo. 0 means 1<<20.
 	MaxBatchKeys int
-
-	// MaxDelay is the batching window: how long the dispatcher holds
-	// the first request of a batch open for companions. 0 means 200µs.
-	// Latency cost is at most MaxDelay; throughput gain is the
-	// amortized remap/setup cost (see the package comment).
-	MaxDelay time.Duration
 
 	// QueueDepth bounds the admission queue; a full queue rejects with
 	// ErrOverloaded. 0 means 256.
@@ -166,9 +164,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatchKeys == 0 {
 		c.MaxBatchKeys = 1 << 20
-	}
-	if c.MaxDelay == 0 {
-		c.MaxDelay = 200 * time.Microsecond
 	}
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 256
@@ -240,6 +235,7 @@ type ServerOf[E element.Elem] struct {
 	breaker *resilience.Breaker // nil when Config.DisableBreaker
 	queue   chan *request[E]
 	exec    chan []*request[E]
+	held    atomic.Int32 // requests the dispatcher holds for the next free executor
 
 	ctx    context.Context // canceled on Close: aborts in-flight runs' joint contexts
 	cancel context.CancelFunc
@@ -449,9 +445,11 @@ func (s *ServerOf[E]) emit(kind, detail, req string) {
 
 // retryAfterSeconds derives the honest Retry-After hint for a refused
 // request: an open breaker's remaining cooldown, or — for overload —
-// the time the batcher needs to drain the current queue (one MaxDelay
-// window per MaxBatch requests). Zero means no hint; the floor is 1s,
-// the header's resolution.
+// the time the executors need to work off the backlog: the mean
+// measured engine-run time for each of the ⌈backlog/MaxBatch⌉ runs,
+// spread over Parallel executors. The backlog counts the admission
+// queue plus the requests the dispatcher holds. Zero means no hint;
+// the floor is 1s, the header's resolution.
 func (s *ServerOf[E]) retryAfterSeconds(err error) int {
 	var d time.Duration
 	switch {
@@ -460,8 +458,9 @@ func (s *ServerOf[E]) retryAfterSeconds(err error) int {
 			d = s.breaker.RetryAfter()
 		}
 	case errors.Is(err, ErrOverloaded):
-		batches := len(s.queue)/s.cfg.MaxBatch + 1
-		d = time.Duration(batches) * s.cfg.MaxDelay
+		backlog := len(s.queue) + int(s.held.Load())
+		runs := (backlog + s.cfg.MaxBatch - 1) / s.cfg.MaxBatch
+		d = s.m.meanEngineRun() * time.Duration(runs) / time.Duration(s.cfg.Parallel)
 	default:
 		return 0
 	}
@@ -548,74 +547,95 @@ func (s *ServerOf[E]) Close() error {
 	return nil
 }
 
-// dispatch is the batching loop: it pulls the head request, holds the
-// window open for compatible companions, and hands the batch to an
-// executor. Executor handoff is an unbuffered send, so when every
-// executor is busy the dispatcher blocks and arriving requests pile
-// into the bounded queue — which is where overload becomes visible as
-// ErrOverloaded at the door.
+// dispatch is the work-conserving batching loop: no executor sits
+// idle while a request waits. The head request goes to an executor the
+// moment one is idle; while every executor is busy, arriving requests
+// join the held batch (under fits, MaxBatch and MaxBatchKeys), and the
+// held batch is handed over as soon as an executor frees up. So
+// requests share a run exactly when their runs would otherwise have
+// queued. A request that does not fit parks as the head of the next
+// batch and nothing is taken from the queue behind it, which keeps
+// FIFO order. Executor handoff is an unbuffered send, so once the held
+// batch is full or blocked, arrivals pile into the bounded queue —
+// which is where overload becomes visible as ErrOverloaded at the
+// door. Close closes the queue; its remaining requests and the held
+// batch are still delivered before the executors are released.
 func (s *ServerOf[E]) dispatch() {
 	defer s.wg.Done()
 	defer close(s.exec)
-	var pending *request[E] // head of the NEXT batch, parked by incompatibility
+	queue := s.queue        // nil once closed and drained
+	var batch []*request[E] // the held batch, waiting for a free executor
+	var pending *request[E] // head of the next batch: it did not fit behind batch
+	var total int           // summed keys of batch
+	var mx uint64           // largest key image in batch
+	open := false           // batch's head admits companions (see batchable)
 	for {
-		var first *request[E]
+		held := len(batch)
 		if pending != nil {
-			first, pending = pending, nil
-		} else {
-			r, ok := <-s.queue
-			if !ok {
-				return
-			}
-			// One monotonic hop reading per pull closes the queue stage;
-			// time until the engine starts accrues to the batch stage.
-			r.tr.advance(obs.StageQueue)
-			first = r
+			held++
 		}
-		if first.ctx.Err() != nil {
-			first.finish(s.m, nil, first.ctx.Err())
-			continue
-		}
-		batch := []*request[E]{first}
-		if s.cfg.MaxBatch > 1 && batchable(first, s.cfg) {
-			timer := time.NewTimer(s.cfg.MaxDelay)
-			total := len(first.keys)
-			mx := first.maxKey
-			drained := false
-		collect:
-			for len(batch) < s.cfg.MaxBatch {
-				select {
-				case r, ok := <-s.queue:
-					if !ok {
-						drained = true
-						break collect
-					}
-					r.tr.advance(obs.StageQueue)
-					if r.ctx.Err() != nil {
-						r.finish(s.m, nil, r.ctx.Err())
-						continue
-					}
-					if !fits(batch, total, mx, r, s.cfg) {
-						pending = r
-						break collect
-					}
-					batch = append(batch, r)
-					total += len(r.keys)
-					if r.maxKey > mx {
-						mx = r.maxKey
-					}
-				case <-timer.C:
-					break collect
+		s.held.Store(int32(held))
+
+		if len(batch) == 0 {
+			r := pending
+			pending = nil
+			if r == nil {
+				if queue == nil {
+					return
 				}
+				var ok bool
+				if r, ok = <-queue; !ok {
+					return
+				}
+				// One monotonic hop reading per pull closes the queue
+				// stage; time until the engine starts accrues to the
+				// batch stage.
+				r.tr.advance(obs.StageQueue)
 			}
-			timer.Stop()
-			s.exec <- batch
-			if drained {
-				return
+			if r.ctx.Err() != nil {
+				r.finish(s.m, nil, r.ctx.Err())
+				continue
 			}
+			batch, total, mx = []*request[E]{r}, len(r.keys), r.maxKey
+			open = batchable(r, s.cfg)
 			continue
 		}
-		s.exec <- batch
+
+		// An idle executor takes the held batch at once.
+		select {
+		case s.exec <- batch:
+			batch = nil
+			continue
+		default:
+		}
+
+		// Every executor is busy: grow the batch from the queue until
+		// one frees up.
+		in := queue
+		if !open || pending != nil || len(batch) >= s.cfg.MaxBatch {
+			in = nil
+		}
+		select {
+		case s.exec <- batch:
+			batch = nil
+		case r, ok := <-in:
+			if !ok {
+				queue = nil
+				continue
+			}
+			r.tr.advance(obs.StageQueue)
+			if r.ctx.Err() != nil {
+				r.finish(s.m, nil, r.ctx.Err())
+				continue
+			}
+			if !fits(batch, total, mx, r, s.cfg) {
+				pending = r
+				continue
+			}
+			batch = append(batch, r)
+			total += len(r.keys)
+			mx = max(mx, r.maxKey)
+		}
 	}
 }
 

@@ -47,8 +47,7 @@ func waitGoroutines(t *testing.T, base int) {
 func TestServeSortMatchesStdlib(t *testing.T) {
 	for _, backend := range []parbitonic.Backend{parbitonic.Simulated, parbitonic.Native} {
 		s, err := New(Config{
-			Engine:   parbitonic.Config{Processors: 4, Backend: backend, Verify: true},
-			MaxDelay: time.Millisecond,
+			Engine: parbitonic.Config{Processors: 4, Backend: backend, Verify: true},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -86,20 +85,14 @@ func TestServeSortMatchesStdlib(t *testing.T) {
 	}
 }
 
-// TestBatchingCoalesces holds the window open and fires concurrent
-// requests: some must share a run, and every result must still be
-// that request's own sorted keys.
+// TestBatchingCoalesces wedges the single executor, queues concurrent
+// requests behind it, then opens the gate: some must share a run, and
+// every result must still be that request's own sorted keys.
 func TestBatchingCoalesces(t *testing.T) {
-	s, err := New(Config{
+	s, g, wedged := newWedgedServer(t, Config{
 		Engine:   parbitonic.Config{Processors: 4, Backend: parbitonic.Native},
 		MaxBatch: 8,
-		MaxDelay: 50 * time.Millisecond,
-		Parallel: 1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
 
 	const clients = 8
 	var wg sync.WaitGroup
@@ -120,7 +113,12 @@ func TestBatchingCoalesces(t *testing.T) {
 			outs[c] = got
 		}(c)
 	}
+	waitHeld(t, s, clients, 0)
+	g.release()
 	wg.Wait()
+	if err := <-wedged; err != nil {
+		t.Fatal(err)
+	}
 	for c := range outs {
 		want := sortedRef(ins[c])
 		for i := range want {
@@ -140,7 +138,6 @@ func TestFullRangeKeysRunSolo(t *testing.T) {
 	s, err := New(Config{
 		Engine:   parbitonic.Config{Processors: 4, Backend: parbitonic.Native},
 		MaxBatch: 8,
-		MaxDelay: 20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -363,8 +360,7 @@ func TestRetryHealsTransientFault(t *testing.T) {
 func TestCloseSemantics(t *testing.T) {
 	base := runtime.NumGoroutine()
 	s, err := New(Config{
-		Engine:   parbitonic.Config{Processors: 4, Backend: parbitonic.Native},
-		MaxDelay: time.Millisecond,
+		Engine: parbitonic.Config{Processors: 4, Backend: parbitonic.Native},
 	})
 	if err != nil {
 		t.Fatal(err)
